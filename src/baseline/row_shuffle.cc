@@ -198,8 +198,8 @@ Result<bool> RowShuffleReadOperator::NextImpl(Row* row) {
     PHOTON_ASSIGN_OR_RETURN(
         std::string frame,
         ObjectStore::Default().Get(block_keys_[next_block_++]));
-    PHOTON_ASSIGN_OR_RETURN(current_block_, Decompress(frame));
-    reader_ = std::make_unique<BinaryReader>(current_block_);
+    PHOTON_RETURN_NOT_OK(Decompress(frame, &current_block_));
+    reader_ = std::make_unique<BinaryReader>(current_block_.view());
     uint64_t row_count = 0;
     PHOTON_RETURN_NOT_OK(reader_->ReadVarU64(&row_count));
   }

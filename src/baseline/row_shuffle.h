@@ -58,7 +58,7 @@ class RowShuffleReadOperator : public RowOperator {
   int partition_;
   std::vector<std::string> block_keys_;
   size_t next_block_ = 0;
-  std::string current_block_;
+  DecodeBuffer current_block_;  // reused across blocks
   std::unique_ptr<BinaryReader> reader_;
 };
 

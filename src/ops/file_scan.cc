@@ -91,7 +91,8 @@ Result<ColumnBatch*> FileScanOperator::GetNextImpl() {
         continue;
       }
     }
-    PHOTON_ASSIGN_OR_RETURN(current_, reader_->ReadRowGroup(rg, columns_));
+    PHOTON_RETURN_NOT_OK(
+        reader_->ReadRowGroup(rg, columns_, &scratch_, &current_));
     if (predicate_ != nullptr) {
       ctx_.ResetPerBatch();
       PHOTON_ASSIGN_OR_RETURN(int active,

@@ -59,6 +59,9 @@ class FileScanOperator : public Operator {
   size_t next_file_ = 0;
   std::unique_ptr<FileReader> reader_;
   int next_row_group_ = 0;
+  // Refilled for every row group: the batch handed downstream stays valid
+  // until the next GetNext, as for every operator.
+  RowGroupScratch scratch_;
   std::unique_ptr<ColumnBatch> current_;
   EvalContext ctx_;
 };

@@ -122,8 +122,8 @@ Result<ColumnBatch*> ShuffleReadOperator::GetNextImpl() {
     PHOTON_ASSIGN_OR_RETURN(std::string frame,
                             ObjectStore::Default().Get(
                                 block_keys_[next_block_++]));
-    PHOTON_ASSIGN_OR_RETURN(std::string bytes, Decompress(frame));
-    BinaryReader reader(bytes);
+    PHOTON_RETURN_NOT_OK(Decompress(frame, &block_));
+    BinaryReader reader(block_.view());
     PHOTON_ASSIGN_OR_RETURN(current_,
                             DeserializeBatch(output_schema_, &reader));
     if (current_->num_rows() > 0) return current_.get();

@@ -85,6 +85,7 @@ class ShuffleReadOperator : public Operator {
   int partition_;
   std::vector<std::string> block_keys_;
   size_t next_block_ = 0;
+  DecodeBuffer block_;  // reused across blocks
   std::unique_ptr<ColumnBatch> current_;
 };
 

@@ -53,8 +53,6 @@ QuerySession::QuerySession(int64_t id, plan::PlanPtr plan, WriteFn write_fn,
       options_(std::move(options)),
       spill_prefix_("service/q" + std::to_string(id)) {}
 
-QuerySession::~QuerySession() { JoinThread(); }
-
 SessionState QuerySession::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;
@@ -76,6 +74,9 @@ const Table& QuerySession::table() const {
 }
 
 void QuerySession::Finish(SessionState state, Status status, Table table) {
+  // Only the control thread touches these, and it is done with them.
+  plan_.reset();
+  write_fn_ = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     state_ = state;
@@ -83,11 +84,6 @@ void QuerySession::Finish(SessionState state, Status status, Table table) {
     table_ = std::move(table);
   }
   cv_.notify_all();
-}
-
-void QuerySession::JoinThread() {
-  std::lock_guard<std::mutex> lock(join_mu_);
-  if (thread_.joinable()) thread_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -134,11 +130,23 @@ std::shared_ptr<QuerySession> QueryService::Launch(plan::PlanPtr plan,
     session->control_.SetDeadlineAfterMs(session->options_.deadline_ms);
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<std::thread> exited;
   {
+    // Held until the handle is in running_, which the thread's last step
+    // looks up under the same lock.
     std::lock_guard<std::mutex> lock(mu_);
-    sessions_.push_back(session);
+    exited.swap(finished_);
+    running_.emplace(id, std::thread([this, id, session]() mutable {
+      RunSession(session);
+      session.reset();
+      std::lock_guard<std::mutex> lock(mu_);
+      auto self = running_.find(id);
+      finished_.push_back(std::move(self->second));
+      running_.erase(self);
+      if (running_.empty()) drained_cv_.notify_all();
+    }));
   }
-  session->thread_ = std::thread([this, session] { RunSession(session); });
+  for (std::thread& t : exited) t.join();
   return session;
 }
 
@@ -205,14 +213,13 @@ void QueryService::RunSession(const std::shared_ptr<QuerySession>& session) {
 }
 
 void QueryService::Drain() {
-  // Snapshot under the lock, join outside it (Submit may race with Drain;
-  // sessions appended after the snapshot are the caller's to wait on).
-  std::vector<std::shared_ptr<QuerySession>> sessions;
+  std::vector<std::thread> exited;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    sessions = sessions_;
+    std::unique_lock<std::mutex> lock(mu_);
+    drained_cv_.wait(lock, [this] { return running_.empty(); });
+    exited.swap(finished_);
   }
-  for (auto& s : sessions) s->JoinThread();
+  for (std::thread& t : exited) t.join();
 }
 
 QueryService::Stats QueryService::stats() const {

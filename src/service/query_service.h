@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,8 +98,6 @@ const char* SessionStateName(SessionState s);
 /// and profile. Created only by QueryService::Submit(); thread-safe.
 class QuerySession {
  public:
-  ~QuerySession();
-
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
 
@@ -133,14 +132,14 @@ class QuerySession {
                SessionOptions options);
 
   void Finish(SessionState state, Status status, Table table);
-  /// Joins the session thread (idempotent). Called by the service's
-  /// Drain()/destructor and by ~QuerySession.
-  void JoinThread();
 
   const int64_t id_;
-  /// Exactly one of plan_ / write_fn_ is set.
-  const plan::PlanPtr plan_;
-  const WriteFn write_fn_;
+  /// Exactly one of plan_ / write_fn_ is set until the session is
+  /// terminal; both are dropped then, so a handle kept after completion
+  /// holds only the result, status and profile (a plan pins its whole
+  /// snapshot file list with stats and sketches).
+  plan::PlanPtr plan_;
+  WriteFn write_fn_;
   const SessionOptions options_;
   const std::string spill_prefix_;
   QueryControl control_;
@@ -151,9 +150,6 @@ class QuerySession {
   Status status_;
   Table table_{Schema()};
   obs::QueryProfile profile_;
-
-  std::mutex join_mu_;
-  std::thread thread_;
 };
 
 /// Multi-tenant query service: N concurrent sessions over one worker
@@ -174,16 +170,16 @@ class QuerySession {
 class QueryService {
  public:
   explicit QueryService(ServiceOptions options = {});
-  /// Joins every session thread (queries in flight run to completion —
-  /// call Cancel() on sessions first for fast shutdown).
+  /// Waits for every session in flight (they run to completion — call
+  /// Cancel() on sessions first for fast shutdown).
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
   /// Submits a query; never blocks on admission (that happens on the
-  /// session's own control thread). The returned session is also retained
-  /// by the service until destruction.
+  /// session's own control thread). The service keeps no session once it
+  /// is terminal: the returned handle is then the only owner.
   std::shared_ptr<QuerySession> Submit(plan::PlanPtr plan,
                                        SessionOptions options = {});
 
@@ -196,7 +192,9 @@ class QueryService {
   std::shared_ptr<QuerySession> SubmitWrite(WriteFn fn,
                                             SessionOptions options = {});
 
-  /// Blocks until every session submitted so far is terminal.
+  /// Blocks until no session is in flight: every session submitted before
+  /// the call is terminal, has released its admission slot, and its
+  /// control thread holds no reference to it.
   void Drain();
 
   /// Service-level counters (terminal-state totals are post-Drain exact).
@@ -225,8 +223,13 @@ class QueryService {
   MemoryManager memory_manager_;
   AdmissionController admission_;
 
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<QuerySession>> sessions_;
+  std::mutex mu_;
+  std::condition_variable drained_cv_;  // signalled when running_ empties
+  /// Control threads of sessions in flight, by session id. A finishing
+  /// thread moves its own handle to finished_, where the next Launch() or
+  /// Drain() joins it, so exited threads do not pile up unjoined.
+  std::unordered_map<int64_t, std::thread> running_;
+  std::vector<std::thread> finished_;
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> succeeded_{0};
   std::atomic<int64_t> failed_{0};

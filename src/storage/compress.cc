@@ -1,5 +1,6 @@
 #include "storage/compress.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -96,53 +97,112 @@ std::string LzCompress(std::string_view input) {
   return out;
 }
 
-Status ReadLength(const char*& p, const char* end, size_t base_len,
-                  size_t* out_len) {
-  size_t len = base_len;
-  if (base_len == 15) {
-    while (true) {
-      if (p >= end) return Status::IoError("lz: truncated length");
-      uint8_t b = static_cast<uint8_t>(*p++);
-      len += b;
-      if (b != 255) break;
-    }
+/// Adds an LZ4-style length extension (255-run bytes then remainder) to
+/// `*len` when its 4-bit base is 15. False when the payload ends first.
+PHOTON_ALWAYS_INLINE bool ReadLength(const char*& p, const char* end,
+                                     size_t* len) {
+  if (*len != 15) return true;
+  while (p < end) {
+    uint8_t b = static_cast<uint8_t>(*p++);
+    *len += b;
+    if (b != 255) return true;
   }
-  *out_len = len;
+  return false;
+}
+
+/// Decodes into [dst, dst + size), which has DecodeBuffer::kSlack writable
+/// bytes after it. Every literal and match is checked against the end of
+/// the decoded size before it is copied, so the wild copies below write
+/// at most kSlack bytes past that end and never read past the payload.
+Status LzDecompress(std::string_view payload, char* dst, size_t size) {
+  const char* p = payload.data();
+  const char* end = p + payload.size();
+  char* op = dst;
+  char* const oend = dst + size;
+  while (p < end) {
+    uint8_t token = static_cast<uint8_t>(*p++);
+    size_t lit_len = token >> 4;
+    if (!ReadLength(p, end, &lit_len)) {
+      return Status::IoError("lz: truncated length");
+    }
+    if (lit_len > static_cast<size_t>(end - p)) {
+      return Status::IoError("lz: truncated literals");
+    }
+    if (lit_len > static_cast<size_t>(oend - op)) {
+      return Status::IoError("lz: literals past decoded size");
+    }
+    if (lit_len <= 16 && end - p >= 16) {
+      std::memcpy(op, p, 16);  // wild copy: at most 16 - lit_len into slack
+    } else {
+      std::memcpy(op, p, lit_len);
+    }
+    op += lit_len;
+    p += lit_len;
+    if (end - p < 2) return Status::IoError("lz: truncated offset");
+    size_t offset = static_cast<uint8_t>(p[0]) |
+                    (static_cast<size_t>(static_cast<uint8_t>(p[1])) << 8);
+    p += 2;
+    if (offset == 0) break;  // end marker
+    size_t match_len = token & 0xF;
+    if (!ReadLength(p, end, &match_len)) {
+      return Status::IoError("lz: truncated length");
+    }
+    match_len += kMinMatch;
+    if (offset > static_cast<size_t>(op - dst)) {
+      return Status::IoError("lz: bad offset");
+    }
+    if (match_len > static_cast<size_t>(oend - op)) {
+      return Status::IoError("lz: match past decoded size");
+    }
+    // Copy in 8-byte steps from `step` bytes back, each reading only bytes
+    // already written and writing at most 7 bytes into the slack. An
+    // overlapping short-offset match (a run, offset < 8) repeats with
+    // period `offset`, so its first bytes go one at a time and the rest
+    // step from the smallest multiple of the offset that is at least 8.
+    size_t step = offset;
+    size_t i = 0;
+    if (offset < 8) {
+      step = offset * ((8 + offset - 1) / offset);
+      const char* match = op - offset;
+      for (size_t head = std::min(step, match_len); i < head; i++) {
+        op[i] = match[i];
+      }
+    }
+    for (; i < match_len; i += 8) std::memcpy(op + i, op + i - step, 8);
+    op += match_len;
+  }
+  if (op != oend) return Status::IoError("lz: size mismatch");
   return Status::OK();
 }
 
-Status LzDecompress(std::string_view payload, size_t expected_size,
-                    std::string* out) {
-  out->clear();
-  out->reserve(expected_size);
-  const char* p = payload.data();
-  const char* end = p + payload.size();
-  while (p < end) {
-    uint8_t token = static_cast<uint8_t>(*p++);
-    size_t lit_len;
-    PHOTON_RETURN_NOT_OK(ReadLength(p, end, token >> 4, &lit_len));
-    if (p + lit_len > end) return Status::IoError("lz: truncated literals");
-    out->append(p, lit_len);
-    p += lit_len;
-    if (p + 2 > end) return Status::IoError("lz: truncated offset");
-    uint16_t offset = static_cast<uint8_t>(p[0]) |
-                      (static_cast<uint16_t>(static_cast<uint8_t>(p[1])) << 8);
-    p += 2;
-    if (offset == 0) break;  // end marker
-    size_t match_len;
-    PHOTON_RETURN_NOT_OK(ReadLength(p, end, token & 0xF, &match_len));
-    match_len += kMinMatch;
-    if (offset > out->size()) return Status::IoError("lz: bad offset");
-    size_t match_pos = out->size() - offset;
-    // Byte-by-byte: overlapping matches (RLE) are valid.
-    for (size_t i = 0; i < match_len; i++) {
-      out->push_back((*out)[match_pos + i]);
-    }
+struct FrameHeader {
+  Codec codec = Codec::kNone;
+  uint64_t size = 0;
+  std::string_view payload;
+};
+
+Status ParseFrame(std::string_view frame, FrameHeader* h) {
+  BinaryReader reader(frame);
+  uint8_t codec_byte = 0;
+  PHOTON_RETURN_NOT_OK(reader.ReadU8(&codec_byte));
+  PHOTON_RETURN_NOT_OK(reader.ReadVarU64(&h->size));
+  h->codec = static_cast<Codec>(codec_byte);
+  h->payload = frame.substr(reader.position());
+  switch (h->codec) {
+    case Codec::kNone:
+      if (h->payload.size() != h->size) {
+        return Status::IoError("bad frame size");
+      }
+      return Status::OK();
+    case Codec::kLz:
+      // Bound the claimed size by the payload before anything is sized
+      // from it.
+      if (h->size > h->payload.size() * kLzMaxExpansion) {
+        return Status::IoError("lz: decoded size exceeds maximum expansion");
+      }
+      return Status::OK();
   }
-  if (out->size() != expected_size) {
-    return Status::IoError("lz: size mismatch");
-  }
-  return Status::OK();
+  return Status::IoError("unknown codec");
 }
 
 }  // namespace
@@ -160,20 +220,36 @@ std::string Compress(std::string_view input, Codec codec) {
   return out;
 }
 
-Result<std::string> Decompress(std::string_view frame) {
-  BinaryReader reader(frame);
-  uint8_t codec_byte = 0;
-  PHOTON_RETURN_NOT_OK(reader.ReadU8(&codec_byte));
-  uint64_t size = 0;
-  PHOTON_RETURN_NOT_OK(reader.ReadVarU64(&size));
-  std::string_view payload = frame.substr(reader.position());
-  if (static_cast<Codec>(codec_byte) == Codec::kNone) {
-    if (payload.size() != size) return Status::IoError("bad frame size");
-    return std::string(payload);
+char* DecodeBuffer::Prepare(size_t size) {
+  if (size + kSlack > capacity_) {
+    capacity_ = std::max(size + kSlack, capacity_ * 2);
+    data_.reset(new char[capacity_]);
   }
-  std::string out;
-  PHOTON_RETURN_NOT_OK(LzDecompress(payload, size, &out));
-  return out;
+  size_ = size;
+  return data_.get();
+}
+
+Result<uint64_t> DecodedSize(std::string_view frame) {
+  FrameHeader h;
+  PHOTON_RETURN_NOT_OK(ParseFrame(frame, &h));
+  return h.size;
+}
+
+Status Decompress(std::string_view frame, DecodeBuffer* out) {
+  FrameHeader h;
+  PHOTON_RETURN_NOT_OK(ParseFrame(frame, &h));
+  char* dst = out->Prepare(h.size);
+  if (h.codec == Codec::kNone) {
+    if (h.size > 0) std::memcpy(dst, h.payload.data(), h.size);
+    return Status::OK();
+  }
+  return LzDecompress(h.payload, dst, h.size);
+}
+
+Result<std::string> Decompress(std::string_view frame) {
+  DecodeBuffer buf;
+  PHOTON_RETURN_NOT_OK(Decompress(frame, &buf));
+  return std::string(buf.view());
 }
 
 }  // namespace photon

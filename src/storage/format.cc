@@ -1,6 +1,8 @@
 #include "storage/format.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 
 #include "ht/vectorized_hash_table.h"
@@ -172,6 +174,13 @@ Status ReadFileMeta(BinaryReader* in, FileMeta* out) {
     PHOTON_RETURN_NOT_OK(in->ReadU8(&precision));
     PHOTON_RETURN_NOT_OK(in->ReadU8(&scale));
     PHOTON_RETURN_NOT_OK(in->ReadU8(&nullable));
+    if (type_id > static_cast<uint8_t>(TypeId::kDecimal128)) {
+      return Status::IoError("unknown column type in file metadata");
+    }
+    if (static_cast<TypeId>(type_id) == TypeId::kDecimal128 &&
+        (precision < 1 || precision > 38 || scale > precision)) {
+      return Status::IoError("bad decimal type in file metadata");
+    }
     DataType type = static_cast<TypeId>(type_id) == TypeId::kDecimal128
                         ? DataType::Decimal(precision, scale)
                         : DataType(static_cast<TypeId>(type_id));
@@ -528,7 +537,7 @@ Result<std::unique_ptr<FileReader>> FileReader::Open(
   }
   uint32_t footer_len;
   std::memcpy(&footer_len, bytes.data() + bytes.size() - 8, 4);
-  if (footer_len + 12 > bytes.size()) {
+  if (static_cast<uint64_t>(footer_len) + 12 > bytes.size()) {
     return Status::IoError("corrupt footer length");
   }
   BinaryReader footer(bytes.data() + bytes.size() - 8 - footer_len,
@@ -543,99 +552,256 @@ Result<std::unique_ptr<FileReader>> FileReader::OpenFromStore(
   return Open(std::move(bytes));
 }
 
+namespace {
+
+/// out[i] = dict[idx[i]] over W-byte values; memcpy keeps the unaligned
+/// dictionary span legal and compiles to plain loads and stores.
+template <int W>
+void GatherFixed(const uint8_t* PHOTON_RESTRICT dict,
+                 const uint32_t* PHOTON_RESTRICT idx, int n,
+                 uint8_t* PHOTON_RESTRICT out) {
+  for (int i = 0; i < n; i++) {
+    std::memcpy(out + static_cast<size_t>(i) * W,
+                dict + static_cast<size_t>(idx[i]) * W, W);
+  }
+}
+
+/// Bit-unpacks `n` dictionary indices into `idx` and checks them against
+/// `dict_size`: an out-of-range index is an error at a non-NULL row and is
+/// replaced by 0 at a NULL row, so the gather after this reads only
+/// dictionary entries.
+Status ReadDictIndices(BinaryReader* reader, int n, uint64_t dict_size,
+                       const uint8_t* nulls, std::vector<uint32_t>* idx) {
+  uint8_t bit_width = 0;
+  PHOTON_RETURN_NOT_OK(reader->ReadU8(&bit_width));
+  if (bit_width < 1 || bit_width > 32) {
+    return Status::IoError("bad dictionary index width");
+  }
+  idx->resize(n);
+  uint32_t* PHOTON_RESTRICT ix = idx->data();
+  PHOTON_RETURN_NOT_OK(BitUnpack(reader, n, bit_width, ix));
+  uint32_t max_index = 0;
+  for (int i = 0; i < n; i++) max_index = std::max(max_index, ix[i]);
+  if (max_index < dict_size) return Status::OK();
+  for (int i = 0; i < n; i++) {
+    if (ix[i] < dict_size) continue;
+    if (nulls[i] == 0) return Status::IoError("dictionary index out of range");
+    ix[i] = 0;
+  }
+  return Status::OK();
+}
+
+/// Decodes one chunk's value section (after the null bytes and encoding
+/// byte) into `out` with typed bulk loops.
+Status DecodeValues(ChunkEncoding encoding, int n, BinaryReader* reader,
+                    RowGroupScratch* scratch, ColumnVector* out) {
+  const DataType& type = out->type();
+  const uint8_t* nulls = out->nulls();
+  if (encoding == ChunkEncoding::kPlain) {
+    switch (type.id()) {
+      case TypeId::kBoolean: {
+        scratch->indices.resize(n);
+        const uint32_t* bits = scratch->indices.data();
+        PHOTON_RETURN_NOT_OK(
+            BitUnpack(reader, n, 1, scratch->indices.data()));
+        uint8_t* vals = out->data<uint8_t>();
+        for (int i = 0; i < n; i++) vals[i] = static_cast<uint8_t>(bits[i]);
+        return Status::OK();
+      }
+      case TypeId::kString: {
+        // One copy of the whole page (length prefixes included) into the
+        // column's pool; the refs then point into that copy.
+        size_t bytes = reader->remaining();
+        if (bytes > static_cast<size_t>(INT32_MAX)) {
+          return Status::IoError("string page too large");
+        }
+        const uint8_t* span = nullptr;
+        PHOTON_RETURN_NOT_OK(reader->ReadSpan(bytes, &span));
+        char* copy =
+            out->var_pool()->AllocateBytes(static_cast<int32_t>(bytes));
+        if (bytes > 0) std::memcpy(copy, span, bytes);
+        BinaryReader page(copy, bytes);
+        StringRef* refs = out->data<StringRef>();
+        for (int i = 0; i < n; i++) {
+          uint64_t len = 0;
+          PHOTON_RETURN_NOT_OK(page.ReadVarU64(&len));
+          const uint8_t* s = nullptr;
+          PHOTON_RETURN_NOT_OK(page.ReadSpan(len, &s));
+          refs[i] = StringRef(reinterpret_cast<const char*>(s),
+                              static_cast<int32_t>(len));
+        }
+        return Status::OK();
+      }
+      default: {
+        const uint8_t* span = nullptr;
+        size_t bytes = static_cast<size_t>(n) * type.byte_width();
+        PHOTON_RETURN_NOT_OK(reader->ReadSpan(bytes, &span));
+        std::memcpy(out->data<uint8_t>(), span, bytes);
+        return Status::OK();
+      }
+    }
+  }
+  if (encoding != ChunkEncoding::kDictionary) {
+    return Status::IoError("unknown chunk encoding");
+  }
+  uint64_t dict_size = 0;
+  PHOTON_RETURN_NOT_OK(reader->ReadVarU64(&dict_size));
+  if (type.is_string()) {
+    // Every entry takes at least its one-byte length prefix.
+    if (dict_size > reader->remaining()) {
+      return Status::IoError("dictionary size exceeds page");
+    }
+    std::vector<StringRef>& dict = scratch->dict_strings;
+    dict.resize(dict_size);
+    VarLenPool* pool = out->var_pool();
+    for (uint64_t d = 0; d < dict_size; d++) {
+      uint64_t len = 0;
+      const uint8_t* s = nullptr;
+      PHOTON_RETURN_NOT_OK(reader->ReadVarU64(&len));
+      if (len > static_cast<uint64_t>(INT32_MAX)) {
+        return Status::IoError("dictionary string too long");
+      }
+      PHOTON_RETURN_NOT_OK(reader->ReadSpan(len, &s));
+      dict[d] = pool->AddString(reinterpret_cast<const char*>(s),
+                                static_cast<int32_t>(len));
+    }
+    PHOTON_RETURN_NOT_OK(
+        ReadDictIndices(reader, n, dict_size, nulls, &scratch->indices));
+    StringRef* refs = out->data<StringRef>();
+    const uint32_t* idx = scratch->indices.data();
+    if (dict_size == 0) {  // every row is NULL
+      std::fill(refs, refs + n, StringRef());
+      return Status::OK();
+    }
+    for (int i = 0; i < n; i++) refs[i] = dict[idx[i]];
+    return Status::OK();
+  }
+  // Fixed-width entries are stored back to back at the in-memory width.
+  const size_t width = static_cast<size_t>(type.byte_width());
+  if (dict_size > reader->remaining() / width) {
+    return Status::IoError("dictionary size exceeds page");
+  }
+  const uint8_t* dict = nullptr;
+  PHOTON_RETURN_NOT_OK(reader->ReadSpan(dict_size * width, &dict));
+  PHOTON_RETURN_NOT_OK(
+      ReadDictIndices(reader, n, dict_size, nulls, &scratch->indices));
+  uint8_t* vals = out->data<uint8_t>();
+  if (dict_size == 0) {  // every row is NULL
+    std::memset(vals, 0, static_cast<size_t>(n) * width);
+    return Status::OK();
+  }
+  const uint32_t* idx = scratch->indices.data();
+  switch (width) {
+    case 1:
+      GatherFixed<1>(dict, idx, n, vals);
+      // Booleans are stored as one byte each; any nonzero byte is true.
+      for (int i = 0; i < n; i++) vals[i] = vals[i] != 0;
+      break;
+    case 4:
+      GatherFixed<4>(dict, idx, n, vals);
+      break;
+    case 8:
+      GatherFixed<8>(dict, idx, n, vals);
+      break;
+    case 16:
+      GatherFixed<16>(dict, idx, n, vals);
+      break;
+    default:
+      return Status::Internal("unexpected value width");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<ColumnBatch>> FileReader::ReadRowGroup(
     int row_group, const std::vector<int>& columns) const {
+  RowGroupScratch scratch;
+  std::unique_ptr<ColumnBatch> batch;
+  PHOTON_RETURN_NOT_OK(ReadRowGroup(row_group, columns, &scratch, &batch));
+  return batch;
+}
+
+Status FileReader::ReadRowGroup(int row_group,
+                                const std::vector<int>& columns,
+                                RowGroupScratch* scratch,
+                                std::unique_ptr<ColumnBatch>* batch) const {
   PHOTON_CHECK(row_group >= 0 && row_group < num_row_groups());
   const RowGroupMeta& rg = meta_.row_groups[row_group];
   std::vector<int> cols = columns;
   if (cols.empty()) {
     for (int c = 0; c < meta_.schema.num_fields(); c++) cols.push_back(c);
   }
-  Schema projected;
-  for (int c : cols) projected.AddField(meta_.schema.field(c));
-  int n = static_cast<int>(rg.num_rows);
-  auto batch = std::make_unique<ColumnBatch>(projected,
-                                             std::max(n, kDefaultBatchSize));
 
-  for (size_t out_c = 0; out_c < cols.size(); out_c++) {
-    const ColumnChunkMeta& chunk = rg.columns[cols[out_c]];
-    const DataType& type = meta_.schema.field(cols[out_c]).type;
-    ColumnVector* out = batch->column(static_cast<int>(out_c));
-
-    if (chunk.offset + chunk.compressed_bytes > bytes_->size()) {
+  // The footer's row count sizes the batch, so check it against what the
+  // file can hold before allocating: every chunk page starts with one null
+  // byte per row, so no chunk's decoded size may be smaller.
+  if (rg.num_rows < 0 || rg.num_rows > INT32_MAX) {
+    return Status::IoError("row group row count out of range");
+  }
+  const int n = static_cast<int>(rg.num_rows);
+  std::vector<std::string_view> frames;
+  frames.reserve(cols.size());
+  for (int c : cols) {
+    const ColumnChunkMeta& chunk = rg.columns[c];
+    if (chunk.offset > bytes_->size() ||
+        chunk.compressed_bytes > bytes_->size() - chunk.offset) {
       return Status::IoError("chunk out of bounds");
     }
-    PHOTON_ASSIGN_OR_RETURN(
-        std::string payload,
-        Decompress(std::string_view(bytes_->data() + chunk.offset,
-                                    chunk.compressed_bytes)));
-    BinaryReader reader(payload);
+    frames.emplace_back(bytes_->data() + chunk.offset,
+                        chunk.compressed_bytes);
+    PHOTON_ASSIGN_OR_RETURN(uint64_t decoded, DecodedSize(frames.back()));
+    if (static_cast<uint64_t>(n) > decoded) {
+      return Status::IoError("row count exceeds chunk size");
+    }
+  }
+
+  auto reusable = [&](const ColumnBatch& b) {
+    if (b.capacity() < n || b.num_columns() != static_cast<int>(cols.size())) {
+      return false;
+    }
+    for (size_t i = 0; i < cols.size(); i++) {
+      if (b.schema().field(static_cast<int>(i)).type !=
+          meta_.schema.field(cols[i]).type) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (*batch == nullptr || !reusable(**batch)) {
+    Schema projected;
+    for (int c : cols) projected.AddField(meta_.schema.field(c));
+    *batch = std::make_unique<ColumnBatch>(projected,
+                                           std::max(n, kDefaultBatchSize));
+  } else {
+    (*batch)->Reset();
+  }
+  ColumnBatch* out_batch = batch->get();
+
+  for (size_t out_c = 0; out_c < cols.size(); out_c++) {
+    ColumnVector* out = out_batch->column(static_cast<int>(out_c));
+    PHOTON_RETURN_NOT_OK(Decompress(frames[out_c], &scratch->page));
+    BinaryReader reader(scratch->page.view());
     uint64_t stored_n = 0;
     PHOTON_RETURN_NOT_OK(reader.ReadVarU64(&stored_n));
-    if (static_cast<int>(stored_n) != n) {
+    if (stored_n != static_cast<uint64_t>(n)) {
       return Status::IoError("row count mismatch in chunk");
     }
     const uint8_t* nulls_span = nullptr;
     PHOTON_RETURN_NOT_OK(reader.ReadSpan(n, &nulls_span));
     std::memcpy(out->nulls(), nulls_span, n);
-    bool any_null = chunk.null_count > 0;
+    uint8_t any_null = 0;
+    for (int i = 0; i < n; i++) any_null |= nulls_span[i];
     out->set_has_nulls(any_null ? TriState::kYes : TriState::kNo);
 
     uint8_t enc = 0;
     PHOTON_RETURN_NOT_OK(reader.ReadU8(&enc));
-    if (static_cast<ChunkEncoding>(enc) == ChunkEncoding::kPlain) {
-      switch (type.id()) {
-        case TypeId::kBoolean: {
-          std::vector<uint32_t> bits(n);
-          PHOTON_RETURN_NOT_OK(BitUnpack(&reader, n, 1, bits.data()));
-          for (int i = 0; i < n; i++) {
-            out->data<uint8_t>()[i] = static_cast<uint8_t>(bits[i]);
-          }
-          break;
-        }
-        case TypeId::kString: {
-          for (int i = 0; i < n; i++) {
-            uint64_t len = 0;
-            PHOTON_RETURN_NOT_OK(reader.ReadVarU64(&len));
-            const uint8_t* span = nullptr;
-            PHOTON_RETURN_NOT_OK(reader.ReadSpan(len, &span));
-            out->SetString(i, reinterpret_cast<const char*>(span),
-                           static_cast<int32_t>(len));
-          }
-          break;
-        }
-        default: {
-          const uint8_t* span = nullptr;
-          size_t bytes = static_cast<size_t>(n) * type.byte_width();
-          PHOTON_RETURN_NOT_OK(reader.ReadSpan(bytes, &span));
-          std::memcpy(out->data<uint8_t>(), span, bytes);
-          break;
-        }
-      }
-    } else {
-      // Dictionary chunk.
-      uint64_t dict_size = 0;
-      PHOTON_RETURN_NOT_OK(reader.ReadVarU64(&dict_size));
-      std::vector<Value> dict(dict_size);
-      for (uint64_t d = 0; d < dict_size; d++) {
-        PHOTON_RETURN_NOT_OK(ReadTypedValue(type, &reader, &dict[d]));
-      }
-      uint8_t bit_width = 0;
-      PHOTON_RETURN_NOT_OK(reader.ReadU8(&bit_width));
-      std::vector<uint32_t> indices(n);
-      PHOTON_RETURN_NOT_OK(BitUnpack(&reader, n, bit_width, indices.data()));
-      for (int i = 0; i < n; i++) {
-        if (out->nulls()[i]) continue;
-        if (indices[i] >= dict_size) {
-          return Status::IoError("dictionary index out of range");
-        }
-        out->SetValue(i, dict[indices[i]]);
-      }
-    }
+    PHOTON_RETURN_NOT_OK(DecodeValues(static_cast<ChunkEncoding>(enc), n,
+                                      &reader, scratch, out));
   }
-  batch->set_num_rows(n);
-  batch->SetAllActive();
-  return batch;
+  out_batch->set_num_rows(n);
+  out_batch->SetAllActive();
+  return Status::OK();
 }
 
 Result<FileMeta> WriteTableToStore(const Table& table, ObjectStore* store,

@@ -114,6 +114,15 @@ class FileWriter {
   bool finished_ = false;
 };
 
+/// Decode state a reader of many row groups keeps between them: the
+/// decompressed page, the unpacked dictionary indices and a string
+/// dictionary's entries. Each grows to the largest chunk seen.
+struct RowGroupScratch {
+  DecodeBuffer page;
+  std::vector<uint32_t> indices;
+  std::vector<StringRef> dict_strings;
+};
+
 /// Reads files produced by FileWriter (or the baseline writer — the format
 /// is identical).
 class FileReader {
@@ -137,6 +146,16 @@ class FileReader {
   /// single dense batch whose schema is the projected schema.
   Result<std::unique_ptr<ColumnBatch>> ReadRowGroup(
       int row_group, const std::vector<int>& columns) const;
+
+  /// As above, but refills `*batch` in place when it holds a batch with
+  /// the projected column types and room for the row group's rows (its
+  /// value, null and string buffers are reused); otherwise allocates a new
+  /// one. With `scratch` also kept across calls, a scan
+  /// allocates nothing per row group once both have grown. Corrupt or
+  /// truncated chunks fail with IoError; `*batch` is then unspecified.
+  Status ReadRowGroup(int row_group, const std::vector<int>& columns,
+                      RowGroupScratch* scratch,
+                      std::unique_ptr<ColumnBatch>* batch) const;
 
   /// Total size of the underlying file bytes.
   int64_t file_bytes() const { return static_cast<int64_t>(bytes_->size()); }

@@ -1,6 +1,7 @@
 #ifndef PHOTON_VECTOR_VAR_LEN_POOL_H_
 #define PHOTON_VECTOR_VAR_LEN_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -48,10 +49,16 @@ class VarLenPool {
     return out;
   }
 
-  /// Drops all strings; chunk memory of the first chunk is retained so the
-  /// per-batch steady state does not reallocate.
+  /// Drops all strings; the largest chunk is retained so the per-batch
+  /// steady state does not reallocate (a scan copies each string page into
+  /// one allocation, which may be larger than the default chunk).
   void Reset() {
     if (chunks_.size() > 1) {
+      auto largest = std::max_element(
+          chunks_.begin(), chunks_.end(), [](const auto& a, const auto& b) {
+            return a->capacity() < b->capacity();
+          });
+      std::swap(chunks_.front(), *largest);
       chunks_.resize(1);
     }
     current_ = chunks_.empty() ? nullptr : chunks_[0].get();

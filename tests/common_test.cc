@@ -184,6 +184,71 @@ TEST(CompressTest, RejectsCorruptFrames) {
   EXPECT_FALSE(Decompress("").ok());
 }
 
+TEST(CompressTest, RejectsSizeBombBeforeAllocating) {
+  // 13 bytes: codec kLz, a varint claiming 2^62 decoded bytes, and a
+  // three-byte end-of-stream sequence. The claim is far beyond what three
+  // payload bytes can expand to, so it must fail without allocating.
+  std::string frame(1, static_cast<char>(Codec::kLz));
+  uint64_t claim = uint64_t{1} << 62;
+  while (claim >= 0x80) {
+    frame.push_back(static_cast<char>((claim & 0x7F) | 0x80));
+    claim >>= 7;
+  }
+  frame.push_back(static_cast<char>(claim));
+  frame.append(std::string("\0\0\0", 3));
+  ASSERT_EQ(frame.size(), 13u);
+  Result<std::string> out = Decompress(frame);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsIoError()) << out.status().ToString();
+  EXPECT_FALSE(DecodedSize(frame).ok());
+}
+
+TEST(CompressTest, RejectsSequencesPastDecodedSize) {
+  // Claims 8 decoded bytes; 4 literals then a match extended to 219 bytes
+  // would run far past them.
+  std::string match_bomb = {static_cast<char>(Codec::kLz), 8,
+                            static_cast<char>(0x4F), 'a', 'b', 'c', 'd',
+                            4, 0, static_cast<char>(200)};
+  Result<std::string> out = Decompress(match_bomb);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsIoError()) << out.status().ToString();
+
+  // Claims 2 decoded bytes but carries 4 literals.
+  std::string literal_overrun = {static_cast<char>(Codec::kLz), 2,
+                                 static_cast<char>(0x40), 'a', 'b', 'c',
+                                 'd', 0, 0};
+  out = Decompress(literal_overrun);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsIoError()) << out.status().ToString();
+
+  // An offset reaching before the start of the output.
+  std::string bad_offset = {static_cast<char>(Codec::kLz), 8,
+                            static_cast<char>(0x40), 'a', 'b', 'c', 'd',
+                            9, 0};
+  EXPECT_FALSE(Decompress(bad_offset).ok());
+}
+
+TEST(CompressTest, ReusedBufferDecodesEveryFrame) {
+  // One DecodeBuffer across frames of shrinking and growing sizes, with
+  // literal runs around the 16-byte wild copy and matches at offsets on
+  // both sides of the 8-byte step.
+  Rng rng(11);
+  DecodeBuffer buf;
+  for (int len : {70000, 5, 0, 17, 4096, 16, 15, 100000, 31}) {
+    std::string data(len, 0);
+    for (int i = 0; i < len; i++) {
+      int period = 1 + static_cast<int>(rng.Uniform(0, 12));
+      data[i] = i >= period && rng.Uniform(0, 4) != 0
+                    ? data[i - period]
+                    : static_cast<char>(rng.Next());
+    }
+    for (Codec codec : {Codec::kLz, Codec::kNone}) {
+      ASSERT_TRUE(Decompress(Compress(data, codec), &buf).ok());
+      EXPECT_EQ(buf.view(), data) << "len=" << len;
+    }
+  }
+}
+
 TEST(ObjectStoreTest, PutGetListDelete) {
   ObjectStore store;
   ASSERT_TRUE(store.Put("a/1", "one").ok());

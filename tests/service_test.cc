@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <future>
 #include <thread>
 #include <vector>
@@ -326,6 +327,75 @@ TEST(QueryServiceTest, OversizeSubmissionFailsCleanly) {
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
   EXPECT_EQ(session->state(), SessionState::kFailed);
   EXPECT_EQ(svc.stats().failed, 1);
+}
+
+/// Live threads of this process, from /proc/self/status (Linux); -1
+/// where unavailable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(QueryServiceTest, TerminalSessionsAreNotRetained) {
+  // A long-lived service must hold nothing per completed query: once a
+  // session is terminal and its handle is dropped, neither the session
+  // nor its control thread may survive, however many ran before.
+  Table table = MakeTable(256, 64);
+  plan::PlanPtr plan =
+      plan::Aggregate(plan::Scan(&table), {}, {},
+                      {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  ServiceOptions options;
+  options.worker_threads = 2;
+  QueryService svc(options);
+  const int threads_before = ProcessThreads();
+
+  constexpr int kQueries = 1000;
+  constexpr int kWave = 8;  // bounds the threads alive at once
+  std::vector<std::weak_ptr<QuerySession>> done;
+  for (int q = 0; q < kQueries; q += kWave) {
+    std::vector<std::shared_ptr<QuerySession>> wave;
+    for (int i = 0; i < kWave; i++) wave.push_back(svc.Submit(plan));
+    for (auto& s : wave) {
+      ASSERT_TRUE(s->Wait().ok());
+      done.push_back(s);
+    }
+  }
+  svc.Drain();
+  int64_t live = std::count_if(done.begin(), done.end(),
+                               [](const auto& w) { return !w.expired(); });
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(svc.stats().succeeded, kQueries);
+  // Drain joined every control thread; allow the kernel a moment to
+  // retire the last ones before counting.
+  for (int i = 0; i < 200 && ProcessThreads() > threads_before; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(ProcessThreads(), threads_before);
+
+  // A handle kept past completion holds the result, not the plan or the
+  // write body that produced it.
+  plan::PlanPtr own =
+      plan::Aggregate(plan::Scan(&table), {}, {},
+                      {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  std::weak_ptr<plan::PlanNode> own_plan = own;
+  auto kept = svc.Submit(std::move(own));
+  ASSERT_TRUE(kept->Wait().ok());
+  EXPECT_TRUE(own_plan.expired());
+  EXPECT_EQ(kept->table().num_rows(), 1);
+
+  auto sentinel = std::make_shared<int>(0);
+  std::weak_ptr<int> body_state = sentinel;
+  auto write = svc.SubmitWrite(
+      [sentinel](exec::Driver*, const ExecContext&) -> Result<Table> {
+        return Table(Schema());
+      });
+  sentinel.reset();
+  ASSERT_TRUE(write->Wait().ok());
+  EXPECT_TRUE(body_state.expired());
 }
 
 // --- Cancellation: no leaked reservations, spills, or pins ------------------
